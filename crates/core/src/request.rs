@@ -378,8 +378,6 @@ pub struct IlpStats {
     pub warm_solves: usize,
     /// Warm-start hits.
     pub warm_hits: usize,
-    /// Dive-tableau basis reinstalls.
-    pub dive_reinstalls: usize,
     /// Pseudocost-guided branching decisions.
     pub pseudocost_branches: usize,
     /// Strong-branching probes.

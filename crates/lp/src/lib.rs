@@ -5,10 +5,11 @@
 //! simplex for LP relaxations (upper bounds live in per-column statuses,
 //! not in explicit `x ≤ u` rows — the RS models are almost entirely binary,
 //! so this halves the tableau in both dimensions) and a parallel
-//! branch-and-bound driver with a warm-started diving heuristic, plus the
-//! logical-operator linearizations (`max`, `⟹`, `⟺`, `∨`) that Sections
-//! 3–4 of the paper take from Touati's thesis \[15\]. The pre-rewrite
-//! explicit-bound-row formulation survives as a differential baseline in
+//! branch-and-bound driver whose dives and strong-branching probes re-solve
+//! in place on a live [`DiveTableau`] with dual-steepest-edge repairs, plus
+//! the logical-operator linearizations (`max`, `⟹`, `⟺`, `∨`) that
+//! Sections 3–4 of the paper take from Touati's thesis \[15\]. The
+//! pre-rewrite explicit-bound-row formulation survives as a test oracle in
 //! [`reference`].
 //!
 //! Design notes:
@@ -60,8 +61,7 @@ pub use milp::{
 pub use model::{Cmp, Model, ModelStats, Sense, VarId, VarKind};
 pub use presolve::{presolve, propagate, PresolveOutcome, PresolveStats, Propagation};
 pub use simplex::{
-    solve_relaxation, solve_with_basis, solve_with_basis_pricing, solve_with_basis_stats,
-    tableau_shape, Basis, DiveStep, DiveTableau, LpOutcome, LpStats, Pricing, Solution,
+    solve_relaxation, tableau_shape, DiveStep, DiveTableau, LpOutcome, LpStats, Solution,
 };
 
 /// Numeric tolerance used throughout the solver.

@@ -36,10 +36,9 @@
 //! - the **diving primal heuristic**: nodes whose global index falls on
 //!   the dive period dive from their subproblem, fixing near-integral
 //!   variables in batches. Every dive step is an in-place bound fold plus
-//!   dual repair on the live tableau — **no per-step basis reinstall**
-//!   ([`MilpStats::dive_reinstalls`] pins the invariant at zero). The
-//!   incumbents those dives find are what turn the near-flat big-M dual
-//!   bounds into actual pruning.
+//!   dual repair on the live tableau — **no per-step basis reinstall**.
+//!   The incumbents those dives find are what turn the near-flat big-M
+//!   dual bounds into actual pruning.
 //! - **strong-branching-lite probes** for pseudocost initialization (see
 //!   below), which clone the tableau (one memcpy ≈ one pivot) and tighten
 //!   the probe bound on the copy.
@@ -55,8 +54,9 @@
 //! steer — are thread-count invariant. Variables without reliable
 //! estimates are initialized by strong-branching-lite probes on the node's
 //! dive tableau (bounded per node); the score is the classic product rule
-//! `max(down·f⁻, ε) · max(up·f⁺, ε)`. [`MilpConfig::pseudocost`] falls
-//! back to most-fractional branching when disabled.
+//! `max(down·f⁻, ε) · max(up·f⁺, ε)`. The explicit-bound-row reference
+//! path ([`crate::reference::solve_milp`]) keeps no dive tableau to probe
+//! and branches on the most fractional variable instead.
 //!
 //! The dual bound is rounded to an integer before pruning when
 //! [`MilpConfig::integral_objective`] is set (every objective in the
@@ -67,7 +67,7 @@ use crate::cancel::{min_deadline, Cancel};
 use crate::cuts::Cut;
 use crate::model::{Model, Sense, VarKind};
 use crate::pool::{BranchStep, CutPool, Frontier, Incumbent, Node, PcStore};
-use crate::simplex::{DiveStep, DiveTableau, LpOutcome, LpStats, Pricing, Solution};
+use crate::simplex::{DiveStep, DiveTableau, LpOutcome, LpStats, Solution};
 use crate::{VarId, EPS};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -143,8 +143,10 @@ const CUT_MAX_AGE: u32 = 2;
 
 /// Wire-format version of [`SearchCheckpoint`]; a checkpoint from a
 /// different version is silently ignored (the solve starts cold).
-/// Version 2 added the cut pool and the cut/pricing/propagation counters.
-pub const CHECKPOINT_VERSION: u32 = 2;
+/// Version 2 added the cut pool and the cut/pricing/propagation counters;
+/// version 3 dropped the dive-reinstall counter and the accelerator
+/// toggles from the fingerprint.
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 /// Knobs for the branch-and-bound driver.
 #[derive(Clone, Debug)]
@@ -171,47 +173,6 @@ pub struct MilpConfig {
     /// reported optimum are identical for every value — threads only
     /// change wall-clock time.
     pub threads: usize,
-    /// Pseudocost branching with strong-branching-lite reliability
-    /// initialization (default). Disabled, the search falls back to
-    /// most-fractional branching. The reference-LP path always uses
-    /// most-fractional branching (it has no dive tableau to probe). The
-    /// optimal objective does not depend on this flag.
-    pub pseudocost: bool,
-    /// Run the [`crate::presolve`] pass (singleton-row folding, activity
-    /// bound tightening, redundant-row elimination) before the search
-    /// (default). Presolve never changes the feasible set, so the optimal
-    /// objective does not depend on this flag; [`MilpStats::rows`] /
-    /// [`MilpStats::cols`] report the presolved tableau shape.
-    pub presolve: bool,
-    /// Route every node relaxation through the explicit-bound-row
-    /// *reference* simplex ([`crate::reference`]) instead of the
-    /// bounded-variable path. Test-only differential baseline: no warm
-    /// starts, bound rows double the tableau. The optimal objective must
-    /// not depend on this flag.
-    pub reference_lp: bool,
-    /// Pricing rule for the dual-simplex repair passes (dive tableau
-    /// tightenings, strong-branching probes, warm re-solves). The default
-    /// [`Pricing::DualSteepestEdge`] picks leaving rows by
-    /// steepest-edge-normalized infeasibility — markedly fewer pivots per
-    /// repair on the register-saturation tableaus; [`Pricing::Dantzig`]
-    /// (most-violated row) is the simpler fallback. Cold solves are primal
-    /// and unaffected. The optimal objective does not depend on this knob,
-    /// but the explored tree may (different optimal-face vertices), so it
-    /// is part of the checkpoint fingerprint.
-    pub pricing: Pricing,
-    /// Separate lifted cover and clique cuts ([`crate::cuts`]) at the root
-    /// (rounds until the relaxation bound stops improving) and sparingly
-    /// in the tree, managed through a deduplicating pool with
-    /// activity-based aging (default). Cuts are globally valid, so they
-    /// tighten every node relaxation; they never exclude an integer point,
-    /// so the optimal objective does not depend on this flag.
-    pub cuts: bool,
-    /// Run a cheap bound-propagation pass ([`crate::presolve::propagate`])
-    /// on each node's tightened domain before its LP solve (default).
-    /// Knapsack-style activity arguments shrink integer domains and detect
-    /// infeasible branches without a simplex call
-    /// ([`MilpStats::propagation_fathoms`]).
-    pub propagation: bool,
     /// Run the [`crate::audit`] static pass before the search: the
     /// emitted model, every restored or root-separated cut-pool row, and
     /// any accepted checkpoint are validated up front, and a violation
@@ -241,12 +202,6 @@ impl Default for MilpConfig {
             integral_objective: true,
             int_tol: 1e-6,
             threads: 1,
-            pseudocost: true,
-            presolve: true,
-            reference_lp: false,
-            pricing: Pricing::DualSteepestEdge,
-            cuts: true,
-            propagation: true,
             audit: cfg!(debug_assertions),
             cancel: Cancel::new(),
         }
@@ -312,13 +267,6 @@ pub struct MilpStats {
     /// stalled repair discards the tableau). Dive steps are pure bound
     /// tightenings, so this normally equals [`MilpStats::warm_solves`].
     pub warm_hits: usize,
-    /// Basis reinstalls performed on behalf of dive steps. The incremental
-    /// dive tableau applies bound tightenings in place — **no per-step
-    /// reinstall** — so this is zero by construction; the counter is wired
-    /// end-to-end so the perf report can pin the invariant (the previous
-    /// engine re-installed the parent basis on every dive step, which
-    /// dominated its warm cost).
-    pub dive_reinstalls: usize,
     /// Branching decisions taken purely from trusted (reliable)
     /// accumulated pseudocosts — no strong-branching probe needed at that
     /// node.
@@ -326,14 +274,13 @@ pub struct MilpStats {
     /// Strong-branching-lite probes performed to initialize unreliable
     /// pseudocosts (each probes both directions of one variable).
     pub strong_branch_probes: usize,
-    /// Total simplex pivots (tableau eliminations, including warm-start
-    /// basis reinstalls) across all node LPs.
+    /// Total simplex pivots (tableau eliminations) across all node LPs.
     pub pivots: usize,
     /// Total bound flips (rank-1 rhs updates in place of pivots).
     pub bound_flips: usize,
-    /// Pivots priced by the dual steepest-edge rule (a subset of
-    /// [`MilpStats::pivots`]; zero when [`MilpConfig::pricing`] is
-    /// Dantzig).
+    /// Pivots priced by the dual steepest-edge rule in dual repairs (a
+    /// subset of [`MilpStats::pivots`]; cold solves are primal and
+    /// contribute none).
     pub dse_pivots: usize,
     /// Cutting planes accepted into the cut pool (root + in-tree), net of
     /// dedup, not counting later retirements.
@@ -344,7 +291,8 @@ pub struct MilpStats {
     /// proved infeasible without an LP solve.
     pub propagation_fathoms: usize,
     /// Root relaxation bound before any cuts, in objective space (`NaN`
-    /// when the cut loop never ran: cuts disabled, or resumed past it).
+    /// when the cut loop never ran: root LP not optimal, or resumed past
+    /// it).
     pub root_bound_pre_cuts: f64,
     /// Root relaxation bound after the last cut round, in objective space
     /// (`NaN` when the cut loop never ran).
@@ -505,15 +453,6 @@ fn fingerprint(model: &Model, cfg: &MilpConfig) -> u64 {
     h.f64v(model.objective.constant);
     h.f64v(cfg.int_tol);
     h.byte(cfg.integral_objective as u8);
-    h.byte(cfg.pseudocost as u8);
-    h.byte(cfg.presolve as u8);
-    h.byte(cfg.reference_lp as u8);
-    h.byte(match cfg.pricing {
-        Pricing::Dantzig => 0,
-        Pricing::DualSteepestEdge => 1,
-    });
-    h.byte(cfg.cuts as u8);
-    h.byte(cfg.propagation as u8);
     h.state()
 }
 
@@ -637,7 +576,6 @@ struct CkptCounters {
     lp_solves: usize,
     warm_solves: usize,
     warm_hits: usize,
-    dive_reinstalls: usize,
     pseudocost_branches: usize,
     strong_branch_probes: usize,
     pivots: usize,
@@ -822,10 +760,9 @@ impl SearchCheckpoint {
 /// best incumbent if the budget ran out (flagged in
 /// [`MilpStats::proven_optimal`]).
 ///
-/// With [`MilpConfig::presolve`] (the default) the model first runs
-/// through [`crate::presolve`]: singleton rows fold into bounds, activity
-/// arguments tighten bounds and drop redundant rows, and a
-/// presolve-proven-infeasible model returns [`MilpError::Infeasible`]
+/// The model first runs through [`crate::presolve`]: singleton rows fold
+/// into bounds, activity arguments tighten bounds and drop redundant rows,
+/// and a presolve-proven-infeasible model returns [`MilpError::Infeasible`]
 /// without any search. Presolve keeps the variable set (and the integer
 /// feasible set) intact, so the returned values are valid for the original
 /// model.
@@ -847,6 +784,21 @@ pub fn solve_resumable(
     cfg: &MilpConfig,
     resume: Option<&SearchCheckpoint>,
 ) -> MilpRun {
+    solve_on(model, cfg, resume, false)
+}
+
+/// The shared entry behind [`solve_resumable`] and
+/// [`crate::reference::solve_milp`]: with `reference_lp` every node
+/// relaxation is routed through the explicit-bound-row reference simplex
+/// ([`crate::reference`]) instead of the bounded-variable path — the test
+/// oracle's engine, with no live node tableau and hence most-fractional
+/// branching.
+pub(crate) fn solve_on(
+    model: &Model,
+    cfg: &MilpConfig,
+    resume: Option<&SearchCheckpoint>,
+    reference_lp: bool,
+) -> MilpRun {
     if cfg.audit {
         if let Err(e) = crate::audit::check_model(model) {
             return MilpRun {
@@ -856,22 +808,14 @@ pub fn solve_resumable(
         }
     }
     let fp = fingerprint(model, cfg);
-    let reduced;
-    let pre = if cfg.presolve {
-        match crate::presolve::presolve(model, PRESOLVE_ROUNDS) {
-            crate::presolve::PresolveOutcome::Infeasible => {
-                return MilpRun {
-                    result: Err(MilpError::Infeasible),
-                    checkpoint: None,
-                }
-            }
-            crate::presolve::PresolveOutcome::Reduced { model: m, .. } => {
-                reduced = m;
-                &reduced
+    let pre = match crate::presolve::presolve(model, PRESOLVE_ROUNDS) {
+        crate::presolve::PresolveOutcome::Infeasible => {
+            return MilpRun {
+                result: Err(MilpError::Infeasible),
+                checkpoint: None,
             }
         }
-    } else {
-        model
+        crate::presolve::PresolveOutcome::Reduced { model: m, .. } => m,
     };
     // A checkpoint that does not speak the current wire version or does
     // not fingerprint-match stays a *silent* cold start — collisions are
@@ -893,7 +837,7 @@ pub fn solve_resumable(
     } else {
         resume.filter(|ck| ck.structurally_valid(pre.num_vars()))
     };
-    solve_presolved(pre, cfg, fp, resume)
+    solve_presolved(&pre, cfg, fp, resume, reference_lp)
 }
 
 /// Resumes a search from a checkpoint: shorthand for
@@ -920,6 +864,9 @@ struct Ctx<'a> {
     /// Per variable: is it integral (integer or binary)?
     integral: Vec<bool>,
     deadline: Option<Instant>,
+    /// Solve node relaxations on the explicit-bound-row reference path
+    /// (see [`solve_on`]).
+    reference_lp: bool,
 }
 
 impl Ctx<'_> {
@@ -953,7 +900,6 @@ struct LocalCounters {
     lp_solves: usize,
     warm_solves: usize,
     warm_hits: usize,
-    dive_reinstalls: usize,
     pseudocost_branches: usize,
     strong_branch_probes: usize,
     pivots: usize,
@@ -969,7 +915,6 @@ impl LocalCounters {
         self.lp_solves += o.lp_solves;
         self.warm_solves += o.warm_solves;
         self.warm_hits += o.warm_hits;
-        self.dive_reinstalls += o.dive_reinstalls;
         self.pseudocost_branches += o.pseudocost_branches;
         self.strong_branch_probes += o.strong_branch_probes;
         self.pivots += o.pivots;
@@ -1069,19 +1014,12 @@ impl<'c, 'a> NodeRun<'c, 'a> {
         self.records.push((v, up, per_unit));
     }
 
-    /// Charges one LP solve's [`LpStats`]. When the solve ran on behalf of
-    /// a dive chain (`dive`), its basis-reinstall count feeds
-    /// [`MilpStats::dive_reinstalls`] — the incremental dive tableau
-    /// performs none, so any nonzero there means a dive step regressed to
-    /// a reinstalling warm solve.
-    fn charge_lp(&mut self, st: &LpStats, dive: bool) {
+    /// Charges one cold LP solve's [`LpStats`].
+    fn charge_lp(&mut self, st: &LpStats) {
         self.counters.lp_solves += 1;
         self.counters.pivots += st.pivots;
         self.counters.bound_flips += st.bound_flips;
         self.counters.dse_pivots += st.dse_pivots;
-        if dive {
-            self.counters.dive_reinstalls += st.reinstalls;
-        }
     }
 
     /// Charges the pivot/flip work a dive tableau performed since
@@ -1196,7 +1134,6 @@ impl SearchState {
                 lp_solves: ck.counters.lp_solves,
                 warm_solves: ck.counters.warm_solves,
                 warm_hits: ck.counters.warm_hits,
-                dive_reinstalls: ck.counters.dive_reinstalls,
                 pseudocost_branches: ck.counters.pseudocost_branches,
                 strong_branch_probes: ck.counters.strong_branch_probes,
                 pivots: ck.counters.pivots,
@@ -1298,7 +1235,6 @@ impl SearchState {
                 lp_solves: self.counters.lp_solves,
                 warm_solves: self.counters.warm_solves,
                 warm_hits: self.counters.warm_hits,
-                dive_reinstalls: self.counters.dive_reinstalls,
                 pseudocost_branches: self.counters.pseudocost_branches,
                 strong_branch_probes: self.counters.strong_branch_probes,
                 pivots: self.counters.pivots,
@@ -1316,13 +1252,13 @@ impl SearchState {
 // The round driver.
 // ---------------------------------------------------------------------------
 
-/// The round-based branch-and-bound search on an (optionally presolved)
-/// model.
+/// The round-based branch-and-bound search on a presolved model.
 fn solve_presolved(
     model: &Model,
     cfg: &MilpConfig,
     fp: u64,
     resume: Option<&SearchCheckpoint>,
+    reference_lp: bool,
 ) -> MilpRun {
     // lint:allow(D-02) anchors the merged deadline; sampled only at round boundaries, never fed to the digest
     let start = Instant::now();
@@ -1338,6 +1274,7 @@ fn solve_presolved(
         original_bounds: (0..n).map(|i| model.bounds(VarId(i as u32))).collect(),
         integral: (0..n).map(|i| model.is_integral(VarId(i as u32))).collect(),
         deadline: min_deadline(cfg.time_limit.map(|tl| start + tl), cfg.cancel.deadline()),
+        reference_lp,
     };
     let mut st = match resume {
         Some(ck) => SearchState::restore(ck, ctx.dir),
@@ -1372,7 +1309,7 @@ fn solve_presolved(
     // re-run on resume, so a resumed run's totals match an uninterrupted
     // run's exactly.
     let mut root_interrupted = false;
-    if cfg.cuts && !st.root_cuts_done {
+    if !st.root_cuts_done {
         match root_cut_loop(&ctx, model) {
             RootCuts::Done(res) => {
                 st.counters.add(&res.counters);
@@ -1478,8 +1415,7 @@ fn solve_presolved(
             .iter()
             .enumerate()
             .map(|(bi, node)| {
-                cfg.cuts
-                    && node.depth >= 1
+                node.depth >= 1
                     && node.depth <= NODE_CUT_DEPTH
                     && (st.nodes + bi) & NODE_CUT_MASK == 3
             })
@@ -1539,7 +1475,7 @@ fn solve_presolved(
         };
     }
 
-    let (rows, cols) = if cfg.reference_lp {
+    let (rows, cols) = if reference_lp {
         crate::reference::tableau_shape(&search_model)
     } else {
         crate::simplex::tableau_shape(&search_model)
@@ -1565,7 +1501,6 @@ fn solve_presolved(
         lp_solves: st.counters.lp_solves,
         warm_solves: st.counters.warm_solves,
         warm_hits: st.counters.warm_hits,
-        dive_reinstalls: st.counters.dive_reinstalls,
         pseudocost_branches: st.counters.pseudocost_branches,
         strong_branch_probes: st.counters.strong_branch_probes,
         pivots: st.counters.pivots,
@@ -1632,8 +1567,7 @@ fn root_cut_loop(ctx: &Ctx<'_>, base: &Model) -> RootCuts {
 
     let solve_root =
         |model: &Model, counters: &mut LocalCounters| -> (LpOutcome, Option<DiveTableau>) {
-            let (outcome, dt, st) =
-                DiveTableau::new_with_pricing(model, Some(&ctx.cfg.cancel), ctx.cfg.pricing);
+            let (outcome, dt, st) = DiveTableau::new(model, Some(&ctx.cfg.cancel));
             counters.lp_solves += 1;
             counters.pivots += st.pivots;
             counters.bound_flips += st.bound_flips;
@@ -1937,7 +1871,7 @@ fn process_node(
     // propagation's only influence on the search is the fathom verdict —
     // feeding the tightenings to the LP was observed to perturb branching
     // on the saturation corpus for no node-count gain.
-    if ctx.cfg.propagation && (run.inc_score.is_finite() || !node.bounds.is_empty()) {
+    if run.inc_score.is_finite() || !node.bounds.is_empty() {
         let cutoff = run.inc_score.is_finite();
         if cutoff {
             let target = if ctx.cfg.integral_objective {
@@ -2053,11 +1987,11 @@ fn process_node(
     }
 
     // Pick the branching variable: pseudocost product rule with
-    // strong-branching-lite initialization when enabled and a dive tableau
-    // is available, otherwise most-fractional.
-    let branch = match (ctx.cfg.pseudocost, dt.as_ref()) {
-        (true, Some(t)) => select_branch_pseudocost(run, work, t, &sol, raw_score),
-        _ => select_most_fractional(ctx, &sol),
+    // strong-branching-lite initialization on the node's dive tableau,
+    // most-fractional on the reference path (no tableau to probe).
+    let branch = match dt.as_ref() {
+        Some(t) => select_branch_pseudocost(run, work, t, &sol, raw_score),
+        None => select_most_fractional(ctx, &sol),
     };
     if run.interrupted {
         return OutcomeKind::Pruned;
@@ -2162,8 +2096,7 @@ fn process_node(
                     None => {
                         // Reference path: no live tableau from the node
                         // solve; build one cold for the dive.
-                        if let (LpOutcome::Optimal(s), Some(t)) = cold_dive_tableau(run, work, true)
-                        {
+                        if let (LpOutcome::Optimal(s), Some(t)) = cold_dive_tableau(run, work) {
                             dive_from(run, work, t, s);
                         }
                     }
@@ -2181,34 +2114,28 @@ fn process_node(
 /// One counted cold LP relaxation solve, routed through the configured
 /// path. On the bounded-variable path the optimal tableau is kept live as
 /// a [`DiveTableau`] for strong-branching probes and scheduled dives; the
-/// explicit-bound-row reference path ([`MilpConfig::reference_lp`])
-/// returns no tableau.
+/// explicit-bound-row reference path ([`solve_on`]) returns no tableau.
 fn solve_node_lp(run: &mut NodeRun<'_, '_>, work: &Model) -> (LpOutcome, Option<DiveTableau>) {
-    if run.ctx.cfg.reference_lp {
+    if run.ctx.reference_lp {
         let (outcome, lp_stats) = crate::reference::solve_relaxation_stats(work);
-        run.charge_lp(&lp_stats, false);
+        run.charge_lp(&lp_stats);
         (outcome, None)
     } else {
-        cold_dive_tableau(run, work, false)
+        cold_dive_tableau(run, work)
     }
 }
 
 /// One counted cold solve that keeps the tableau live (the bounded node
 /// path, the root probe, and the reference path's dive entry).
-fn cold_dive_tableau(
-    run: &mut NodeRun<'_, '_>,
-    model: &Model,
-    dive: bool,
-) -> (LpOutcome, Option<DiveTableau>) {
-    let (outcome, dt, lp_stats) =
-        DiveTableau::new_with_pricing(model, Some(&run.ctx.cfg.cancel), run.ctx.cfg.pricing);
-    run.charge_lp(&lp_stats, dive);
+fn cold_dive_tableau(run: &mut NodeRun<'_, '_>, model: &Model) -> (LpOutcome, Option<DiveTableau>) {
+    let (outcome, dt, lp_stats) = DiveTableau::new(model, Some(&run.ctx.cfg.cancel));
+    run.charge_lp(&lp_stats);
     (outcome, dt)
 }
 
 /// One counted incremental re-solve on a live dive tableau: applies the
 /// bound tightenings in place (rank-1 rhs folds — **zero** basis
-/// reinstalls, see [`MilpStats::dive_reinstalls`]) and dual-repairs.
+/// reinstalls) and dual-repairs.
 fn dive_tighten(
     run: &mut NodeRun<'_, '_>,
     dt: &mut DiveTableau,
@@ -2373,7 +2300,7 @@ fn dive_from(run: &mut NodeRun<'_, '_>, work: &Model, mut dt: DiveTableau, mut s
 /// feasibility-checked against the cut-free original model, so this
 /// cannot change a reference run's reported optimum).
 fn dive_probe(run: &mut NodeRun<'_, '_>, model: &Model) {
-    match cold_dive_tableau(run, model, true) {
+    match cold_dive_tableau(run, model) {
         (LpOutcome::Optimal(sol), Some(dt)) => dive_from(run, model, dt, sol),
         (LpOutcome::PivotTooSmall, _) => run.interrupt_if_cancelled(),
         _ => {}
@@ -2384,9 +2311,8 @@ fn dive_probe(run: &mut NodeRun<'_, '_>, model: &Model) {
 // Branching rules.
 // ---------------------------------------------------------------------------
 
-/// Most-fractional branching rule (fraction closest to one half), the
-/// fallback when pseudocost branching is disabled or no dive tableau is
-/// available (reference path).
+/// Most-fractional branching rule (fraction closest to one half), used
+/// when no dive tableau is available (reference path).
 fn select_most_fractional(ctx: &Ctx<'_>, sol: &Solution) -> Option<(VarId, f64)> {
     let mut branch: Option<(VarId, f64)> = None;
     let mut best_dist_half = f64::INFINITY;
@@ -2783,23 +2709,23 @@ mod tests {
 
     #[test]
     fn interrupted_search_brackets_the_true_optimum() {
-        // Stop almost immediately via the node budget: the incumbent (from
-        // the root dive) and the abandoned-node dual bound must bracket the
-        // known optimum 732, and the proof must be surrendered. Root cuts
-        // are pinned off — Gomory rounds close this model's gap so well the
-        // search would otherwise finish inside the two-node budget, and the
-        // scenario under test is the *interrupted* bracketing contract.
+        // Stop after the first round via the node budget: the incumbent
+        // (from the root dive) and the open-frontier dual bound must
+        // bracket the uninterrupted optimum, and the proof must be
+        // surrendered. The wide model's tree is many rounds deep even after
+        // the root cut loop, so the one-node budget always interrupts.
+        let m = wide_model();
+        let opt = solve(&m, &MilpConfig::default()).unwrap().objective;
         let cfg = MilpConfig {
-            node_limit: 2,
-            cuts: false,
+            node_limit: 1,
             ..MilpConfig::default()
         };
-        let s = solve(&knapsack_model(), &cfg).unwrap();
+        let s = solve(&m, &cfg).unwrap();
         assert!(!s.stats.proven_optimal);
-        assert!(s.objective <= 732.0 + 1e-9, "incumbent {}", s.objective);
+        assert!(s.objective <= opt + 1e-9, "incumbent {}", s.objective);
         assert!(
-            s.stats.dual_bound >= 732.0 - 1e-9,
-            "dual bound {} must stay above the optimum",
+            s.stats.dual_bound >= opt - 1e-9,
+            "dual bound {} must stay above the optimum {opt}",
             s.stats.dual_bound
         );
     }
@@ -2858,54 +2784,53 @@ mod tests {
     fn infeasible_rounding_leaf_is_rejected() {
         // Regression: the integral-leaf incumbent path was guarded only by
         // a `debug_assert!` — in release builds an infeasible rounding
-        // became the reported optimum. With a loose integrality tolerance
-        // the LP optimum x = 0.6 of `10x ≤ 6` counts as integral, and its
-        // rounding x = 1 violates the row by 4. The leaf must be rejected
-        // (surrendering the proof), never offered.
-        let mut m = Model::new(Sense::Maximize);
-        let x = m.add_var("x", VarKind::Integer, 0.0, 1.0);
-        m.add_constraint(LinExpr::from(x) * 10.0, Cmp::Le, 6.0);
-        m.set_objective(LinExpr::from(x));
+        // became the reported optimum. Maximize x + y over
+        // `10000x + y ≤ rhs`, x binary, y ∈ [-5, 0]: the LP optimum is
+        // y = 0, x = rhs / 10000 just below 1, which a loose integrality
+        // tolerance counts as integral, and its rounding x = 1 violates
+        // the row by `10000 − rhs`. The leaf must be rejected (surrendering
+        // the proof), never offered. The shape keeps the leaf reachable
+        // under the full engine: the continuous partner stops presolve
+        // from folding the row into x's bounds, and a fraction within 1e-4
+        // of 1 yields no Gomory cut that would shave the vertex off first.
+        let leaf_model = |rhs: f64| {
+            let mut m = Model::new(Sense::Maximize);
+            let x = m.add_var("x", VarKind::Integer, 0.0, 1.0);
+            let y = m.add_var("y", VarKind::Continuous, -5.0, 0.0);
+            m.add_constraint(LinExpr::from(x) * 10000.0 + y, Cmp::Le, rhs);
+            m.set_objective(LinExpr::from(x) + y);
+            m
+        };
         let cfg = MilpConfig {
             int_tol: 0.45,
-            // presolve would fold the singleton row into x's bounds and
-            // hide the leaf this regression is about
-            presolve: false,
             ..MilpConfig::default()
         };
-        // Surrendering with an error is sound; claiming the infeasible
-        // rounding as the optimum is the bug.
-        if let Ok(s) = solve(&m, &cfg) {
-            assert!(
-                m.check_feasible(&s.values, 1e-6).is_ok(),
-                "reported optimum is infeasible: {:?}",
-                s.values
-            );
-        }
-
-        // The subtler variant: the rounding violates the row by *less*
-        // than int_tol (x ≤ 0.6 violated by 0.4 < 0.45). The feasibility
-        // gate is capped below int_tol precisely so a loose integrality
-        // tolerance cannot whitewash the violation its own rounding
-        // introduced.
-        let mut m2 = Model::new(Sense::Maximize);
-        let x2 = m2.add_var("x", VarKind::Integer, 0.0, 1.0);
-        m2.add_constraint(LinExpr::from(x2), Cmp::Le, 0.6);
-        m2.set_objective(LinExpr::from(x2));
-        if let Ok(s) = solve(&m2, &cfg) {
-            assert!(
-                m2.check_feasible(&s.values, 1e-6).is_ok(),
-                "reported optimum is infeasible: {:?}",
-                s.values
-            );
+        // The rounding violates the row by 0.5, then — the subtler variant
+        // — by 0.3 < int_tol: the feasibility gate is capped below int_tol
+        // precisely so a loose integrality tolerance cannot whitewash the
+        // violation its own rounding introduced.
+        for rhs in [9999.5, 9999.7] {
+            let m = leaf_model(rhs);
+            // Surrendering with an error is sound; claiming the infeasible
+            // rounding as the optimum is the bug.
+            if let Ok(s) = solve(&m, &cfg) {
+                assert!(
+                    m.check_feasible(&s.values, 1e-6).is_ok(),
+                    "rhs {rhs}: reported optimum is infeasible: {:?}",
+                    s.values
+                );
+                assert!(
+                    !s.stats.proven_optimal,
+                    "rhs {rhs}: the rejected leaf must surrender the proof"
+                );
+            }
         }
     }
 
     #[test]
     fn pseudocost_engine_reports_stats() {
         // A branching model: the first nodes have unreliable pseudocosts,
-        // so strong-branching-lite probes must fire, and the incremental
-        // dive tableau must never reinstall a basis.
+        // so strong-branching-lite probes must fire.
         let mut m = Model::new(Sense::Maximize);
         let vars: Vec<_> = (0..8)
             .map(|i| m.add_var(format!("x{i}"), VarKind::Integer, 0.0, 9.0))
@@ -2920,29 +2845,11 @@ mod tests {
         m.set_objective(obj);
         let s = solve(&m, &MilpConfig::default()).unwrap();
         assert!(s.stats.proven_optimal);
-        assert_eq!(
-            s.stats.dive_reinstalls, 0,
-            "dive tableau must not reinstall"
-        );
         assert!(
             s.stats.nodes <= 1 || s.stats.strong_branch_probes > 0,
             "branching without reliable pseudocosts must probe, stats: {:?}",
             s.stats
         );
-
-        // Disabling pseudocost branching falls back to most-fractional and
-        // must not change the objective (or touch the probe counters).
-        let off = solve(
-            &m,
-            &MilpConfig {
-                pseudocost: false,
-                ..MilpConfig::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(off.objective.round() as i64, s.objective.round() as i64);
-        assert_eq!(off.stats.strong_branch_probes, 0);
-        assert_eq!(off.stats.pseudocost_branches, 0);
     }
 
     /// A 10-variable, 6-constraint model whose search tree has plenty of
@@ -3067,48 +2974,27 @@ mod tests {
                 m.set_objective(o);
 
                 let expected = brute_force(&cons, &obj, sense);
-                // Default engine (cuts + DSE pricing + propagation +
-                // pseudocost branching + presolve on), the fully stripped
-                // configuration (every accelerator off — the PR 8 baseline
-                // tree), and the reference-LP differential must all match
-                // the brute force — objective equivalence across every
-                // knob combination.
-                let configs = [
-                    MilpConfig::with_threads(threads),
-                    MilpConfig {
-                        pseudocost: false,
-                        presolve: false,
-                        threads,
-                        ..MilpConfig::default()
-                    },
-                    MilpConfig {
-                        cuts: false,
-                        propagation: false,
-                        pricing: crate::Pricing::Dantzig,
-                        pseudocost: false,
-                        presolve: false,
-                        threads,
-                        ..MilpConfig::default()
-                    },
-                    MilpConfig {
-                        reference_lp: true,
-                        threads,
-                        ..MilpConfig::default()
-                    },
+                // The engine (presolve, cuts, DSE repairs, propagation,
+                // pseudocost branching) and the reference-LP oracle must
+                // both match the brute force.
+                let cfg = MilpConfig::with_threads(threads);
+                let runs = [
+                    ("default", solve(&m, &cfg)),
+                    ("reference", crate::reference::solve_milp(&m, &cfg)),
                 ];
-                for cfg in configs {
-                    match solve(&m, &cfg) {
+                for (path, run) in runs {
+                    match run {
                         Ok(sol) => {
                             prop_assert!(sol.stats.proven_optimal);
                             let got = sol.objective.round() as i64;
                             prop_assert_eq!(Some(got), expected,
-                                "solver {} vs brute force {:?} (cfg {:?})", got, expected, cfg);
+                                "{} solver {} vs brute force {:?}", path, got, expected);
                             prop_assert!(m.check_feasible(&sol.values, 1e-5).is_ok());
                         }
                         Err(MilpError::Infeasible) => {
-                            prop_assert_eq!(expected, None, "solver claims infeasible");
+                            prop_assert_eq!(expected, None, "{} solver claims infeasible", path);
                         }
-                        Err(e) => prop_assert!(false, "unexpected solver error {e}"),
+                        Err(e) => prop_assert!(false, "unexpected {path} solver error {e}"),
                     }
                 }
             }
@@ -3353,13 +3239,7 @@ mod tests {
         let y = m.add_var("y", VarKind::Integer, 0.0, 4.0);
         m.add_constraint(LinExpr::from(x) * 2.0 + (2.0, y), Cmp::Le, 7.0);
         m.set_objective(LinExpr::from(x) * 2.0 + (2.0, y));
-        // Cuts off: a root GMI cut closes this model's gap outright, and
-        // the point of the test is the *branching* path.
-        let cfg = MilpConfig {
-            cuts: false,
-            ..MilpConfig::default()
-        };
-        let s = solve(&m, &cfg).unwrap();
+        let s = solve(&m, &MilpConfig::default()).unwrap();
         assert!(s.stats.proven_optimal);
         assert!((s.objective - 6.0).abs() < 1e-6);
         assert!(
@@ -3367,25 +3247,15 @@ mod tests {
             "the down child must die in propagation, got {:?}",
             s.stats
         );
-        // The fathom is an accelerator, not a semantics change.
-        let off = solve(
-            &m,
-            &MilpConfig {
-                propagation: false,
-                ..cfg
-            },
-        )
-        .unwrap();
-        assert_eq!(off.stats.propagation_fathoms, 0);
-        assert!((off.objective - s.objective).abs() < 1e-6);
     }
 
     #[test]
-    fn checkpoint_rejects_accelerator_config_drift() {
-        // The fingerprint must cover every knob that shapes the tree:
-        // resuming a default-config checkpoint under flipped cuts, pricing,
-        // or propagation would splice incompatible search frontiers, so
-        // each mismatch has to force a cold start instead.
+    fn checkpoint_rejects_semantic_config_drift() {
+        // The fingerprint covers the semantic knobs still in the config —
+        // integral bound rounding and the integrality tolerance: resuming
+        // a default-config checkpoint under either flipped would splice
+        // incompatible search frontiers, so each mismatch has to force a
+        // cold start instead.
         let m = wide_model();
         let ck = solve_resumable(
             &m,
@@ -3399,15 +3269,11 @@ mod tests {
         .expect("node_limit 1 must interrupt the wide model");
         for cfg in [
             MilpConfig {
-                cuts: false,
+                integral_objective: false,
                 ..MilpConfig::default()
             },
             MilpConfig {
-                pricing: crate::Pricing::Dantzig,
-                ..MilpConfig::default()
-            },
-            MilpConfig {
-                propagation: false,
+                int_tol: 1e-7,
                 ..MilpConfig::default()
             },
         ] {
@@ -3421,7 +3287,9 @@ mod tests {
             assert!(s.stats.proven_optimal);
             assert_eq!(s.objective, solve(&m, &cfg).unwrap().objective);
         }
-        // Sanity: the unchanged config still resumes.
+        // Sanity: the unchanged config still resumes, and budget knobs are
+        // not part of the fingerprint.
         assert!(ck.matches(&m, &MilpConfig::default()));
+        assert!(ck.matches(&m, &MilpConfig::with_threads(4)));
     }
 }

@@ -564,7 +564,6 @@ fn analyze_type(
                         lp_solves: st.lp_solves,
                         warm_solves: st.warm_solves,
                         warm_hits: st.warm_hits,
-                        dive_reinstalls: st.dive_reinstalls,
                         pseudocost_branches: st.pseudocost_branches,
                         strong_branch_probes: st.strong_branch_probes,
                         pivots: st.pivots,

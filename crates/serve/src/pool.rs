@@ -299,14 +299,16 @@ impl ServePool {
     }
 
     /// Closes the queue, drains in-flight work, joins the workers and the
-    /// watchdog.
+    /// watchdog. The watchdog is woken out of its sweep wait, so an idle
+    /// pool shuts down without waiting out a sweep period.
     pub fn shutdown(mut self) -> ServeStats {
         self.shared.queue.close();
         for w in self.workers {
             let _ = w.join();
         }
-        self.shared.stop_watchdog.store(true, Ordering::Relaxed);
+        self.shared.stop_watchdog.store(true, Ordering::Release);
         if let Some(w) = self.watchdog.take() {
+            w.thread().unpark();
             let _ = w.join();
         }
         snapshot(&self.shared)
@@ -371,12 +373,15 @@ fn worker_loop(shared: &PoolShared, index: usize, faults: Option<Arc<FaultPlan>>
 }
 
 /// Sweeps every worker's [`WatchSlot`] until shutdown, force-cancelling
-/// in-flight work stuck past its deadline plus `grace`.
+/// in-flight work stuck past its deadline plus `grace`. Between sweeps the
+/// thread parks; [`ServePool::shutdown`] unparks it after raising
+/// `stop_watchdog`, so the wait ends at once (an unpark that lands before
+/// the park makes the park return immediately, so none is lost).
 fn watchdog_loop(shared: &PoolShared, grace: Duration) {
     // Sweep often enough that a stuck request overshoots its grace by at
     // most ~1/4 of it (bounded to keep an idle daemon cheap).
     let sweep = (grace / 4).clamp(Duration::from_millis(5), Duration::from_millis(250));
-    while !shared.stop_watchdog.load(Ordering::Relaxed) {
+    while !shared.stop_watchdog.load(Ordering::Acquire) {
         let now = Instant::now();
         for slot in &shared.slots {
             if slot.check(now, grace) {
@@ -386,7 +391,7 @@ fn watchdog_loop(shared: &PoolShared, grace: Duration) {
                     .fetch_add(1, Ordering::Relaxed);
             }
         }
-        std::thread::sleep(sweep);
+        std::thread::park_timeout(sweep);
     }
 }
 
@@ -411,5 +416,27 @@ mod tests {
         q.close();
         assert_eq!(q.pop(), None);
         assert!(!q.push(4), "closed queue rejects pushes");
+    }
+
+    #[test]
+    fn idle_pool_shuts_down_without_waiting_out_a_sweep() {
+        // The default grace gives the watchdog a 250 ms sweep period; the
+        // shutdown must wake it rather than sleep that period out.
+        let cfg = ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        };
+        assert_eq!(cfg.grace_ms, 1000, "default grace, 250 ms sweep");
+        let pool = ServePool::new(&cfg);
+        // Let the watchdog reach its first wait.
+        std::thread::sleep(Duration::from_millis(20));
+        let start = Instant::now();
+        let stats = pool.shutdown();
+        let took = start.elapsed();
+        assert_eq!(stats.requests, 0);
+        assert!(
+            took < Duration::from_millis(50),
+            "idle shutdown took {took:?}"
+        );
     }
 }

@@ -231,15 +231,14 @@ fn render_analyze(req: &RsRequest, result: &RsResult) {
         println!();
         if let (true, Some(st)) = (req.stats, &tr.ilp_stats) {
             println!(
-                "  intLP stats: {} nodes, {} LP solves ({} warm dives, {} warm hits, \
-                 {} dive reinstalls), {} pseudocost branches, {} strong-branch probes, \
+                "  intLP stats: {} nodes, {} LP solves ({} warm dives, {} warm hits), \
+                 {} pseudocost branches, {} strong-branch probes, \
                  {} pivots ({} steepest-edge), {} bound flips, {} cuts in {} rounds, \
                  {} propagation fathoms, tableau {}x{}, trace digest {:016x}",
                 st.nodes,
                 st.lp_solves,
                 st.warm_solves,
                 st.warm_hits,
-                st.dive_reinstalls,
                 st.pseudocost_branches,
                 st.strong_branch_probes,
                 st.pivots,

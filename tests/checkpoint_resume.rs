@@ -79,9 +79,10 @@ fn interrupted_resume_chain_matches_uninterrupted_on_rs_models() {
 #[test]
 fn resume_token_is_rejected_across_accelerator_config_changes() {
     // A checkpoint's frontier is only meaningful for the exact tree its
-    // config grows: the fingerprint covers the cut generator, the pricing
-    // rule, and the propagation pass, so a token minted under the default
-    // engine must cold-start — never splice — when any of them is flipped.
+    // config grows: the fingerprint covers the semantic knobs that shape
+    // it — integral bound rounding and the integrality tolerance — so a
+    // token minted under the default engine must cold-start, never splice,
+    // when either is changed.
     let ddg = kernel();
     let mut solver = RsIlp::new();
     solver.milp.node_limit = 2;
@@ -93,20 +94,14 @@ fn resume_token_is_rejected_across_accelerator_config_changes() {
     let full = RsIlp::new()
         .saturation(&ddg, RegType::FLOAT)
         .expect("model solves");
-    let variants: [(&str, Box<dyn Fn(&mut RsIlp)>); 3] = [
-        ("cuts off", Box::new(|s: &mut RsIlp| s.milp.cuts = false)),
-        (
-            "dantzig pricing",
-            Box::new(|s: &mut RsIlp| s.milp.pricing = rs_lp::Pricing::Dantzig),
-        ),
-        (
-            "propagation off",
-            Box::new(|s: &mut RsIlp| s.milp.propagation = false),
-        ),
-    ];
-    for (name, tweak) in variants {
-        let mut fresh = RsIlp::new();
-        tweak(&mut fresh);
+    let mut fractional = RsIlp::new();
+    fractional.milp.integral_objective = false;
+    let mut tighter = RsIlp::new();
+    tighter.milp.int_tol = 1e-7;
+    for (name, fresh) in [
+        ("fractional dual bounds", fractional),
+        ("tighter integrality tolerance", tighter),
+    ] {
         let run = fresh.saturation_resumable(&ddg, RegType::FLOAT, Some(&ck));
         let sol = run.result.expect("cold restart completes");
         assert!(
@@ -127,6 +122,39 @@ fn resume_token_is_rejected_across_accelerator_config_changes() {
         .expect("resume completes");
     assert!(sol.milp_stats.resumed, "control: same config must resume");
     assert_eq!(sol.saturation, full.saturation);
+}
+
+#[test]
+fn previous_version_resume_token_cold_starts() {
+    // A token minted by the previous checkpoint wire version (same
+    // payload, older version field — as a client might persist across an
+    // upgrade) must be ignored, not misread: the solve starts cold and
+    // returns the same answer as a fresh one.
+    let ddg = kernel();
+    let mut solver = RsIlp::new();
+    solver.milp.node_limit = 2;
+    let ck = solver
+        .saturation_resumable(&ddg, RegType::FLOAT, None)
+        .checkpoint
+        .expect("tiny budget interrupts");
+    let tag = format!("\"version\":{}", rs_lp::milp::CHECKPOINT_VERSION);
+    let json = ck.to_json();
+    assert!(json.contains(&tag), "token names its wire version");
+    let old = SearchCheckpoint::from_json(&json.replace(&tag, "\"version\":2"))
+        .expect("a previous-version token still parses");
+
+    let full = RsIlp::new()
+        .saturation(&ddg, RegType::FLOAT)
+        .expect("model solves");
+    let sol = RsIlp::new()
+        .saturation_resumable(&ddg, RegType::FLOAT, Some(&old))
+        .result
+        .expect("cold restart completes");
+    assert!(!sol.milp_stats.resumed, "old-version token must cold-start");
+    assert!(sol.proven_optimal);
+    assert_eq!(sol.saturation, full.saturation);
+    assert_eq!(sol.saturating_values, full.saturating_values);
+    assert_eq!(sol.milp_stats.trace_digest, full.milp_stats.trace_digest);
 }
 
 #[test]

@@ -2,12 +2,14 @@
 //!
 //! `rs_lp::DiveTableau` keeps a factorized simplex tableau live across a
 //! chain of bound tightenings, applying each batch as in-place rank-1
-//! right-hand-side folds plus dual repair — no tableau rebuild and no
-//! basis reinstall. These proptests drive random chains of tightenings
-//! (single and batched, upper and lower, including variable fixings)
-//! through a live tableau and check every step against a **fresh cold
-//! solve** of the same bounds: outcome classes must match, optimal
-//! objectives must agree, and extracted solutions must be feasible.
+//! right-hand-side folds plus a dual-steepest-edge (DSE) repair — no
+//! tableau rebuild and no basis reinstall. These proptests drive random
+//! chains of tightenings (single and batched, upper and lower, including
+//! variable fixings) through a live tableau and check every step against a
+//! **fresh cold solve** of the same bounds: outcome classes must match,
+//! optimal objectives must agree, and extracted solutions must be
+//! feasible. Every repair they trigger is DSE-priced, so they are also the
+//! differential check on the dual pricing rule.
 
 use proptest::prelude::*;
 use rs_lp::{Cmp, DiveStep, DiveTableau, LinExpr, LpOutcome, Model, Sense, VarId, VarKind};
@@ -66,7 +68,7 @@ proptest! {
             (0usize..4, 0u8..=4, any::<bool>()), 1..8),
     ) {
         let mut model = build_lp(4, &widths, &cons, &obj, maximize);
-        let (out, dt, _) = DiveTableau::new(&model);
+        let (out, dt, _) = DiveTableau::new(&model, None);
         let mut dt = match (out, dt) {
             (LpOutcome::Optimal(sol), Some(dt)) => {
                 prop_assert!(model.check_feasible(&sol.values, 1e-6).is_ok());
@@ -110,7 +112,7 @@ proptest! {
             proptest::collection::vec((0usize..5, 0u8..=5), 1..4), 1..4),
     ) {
         let mut model = build_lp(5, &widths, &cons, &obj, maximize);
-        let (out, dt, _) = DiveTableau::new(&model);
+        let (out, dt, _) = DiveTableau::new(&model, None);
         let mut dt = match (out, dt) {
             (LpOutcome::Optimal(_), Some(dt)) => dt,
             _ => return Ok(()),
@@ -132,6 +134,52 @@ proptest! {
             }
         }
     }
+}
+
+#[test]
+fn forced_dual_repair_charges_dse_pivots() {
+    // max 3x + 2y + z s.t. x + y + z ≤ 10, x + 2y ≤ 8, all in [0, 6]: the
+    // optimum (x, y, z) = (6, 1, 3) leaves z basic at 3. Capping z at 1
+    // makes the basis primal infeasible, so the tightening must run a dual
+    // repair — and every repair pivot is priced by dual steepest edge.
+    let mut model = Model::new(Sense::Maximize);
+    let x = model.add_var("x", VarKind::Continuous, 0.0, 6.0);
+    let y = model.add_var("y", VarKind::Continuous, 0.0, 6.0);
+    let z = model.add_var("z", VarKind::Continuous, 0.0, 6.0);
+    model.add_constraint(LinExpr::from(x) + y + z, Cmp::Le, 10.0);
+    model.add_constraint(LinExpr::from(x) + (2.0, y), Cmp::Le, 8.0);
+    model.set_objective(LinExpr::from(x) * 3.0 + (2.0, y) + z);
+    let (out, dt, cold) = DiveTableau::new(&model, None);
+    let LpOutcome::Optimal(root) = out else {
+        panic!("root must be optimal, got {out:?}");
+    };
+    assert!(
+        (root.objective - 23.0).abs() < 1e-9,
+        "root {}",
+        root.objective
+    );
+    assert!((root.values[z.index()] - 3.0).abs() < 1e-9);
+    assert_eq!(cold.dse_pivots, 0, "the cold solve is primal");
+    let mut dt = dt.expect("optimal solve keeps the tableau");
+    let before = dt.work();
+    assert_eq!(before.2, 0);
+
+    model.set_bounds(z, 0.0, 1.0);
+    let step = dt.tighten(&[(z, 0.0, 1.0)], &model);
+    let DiveStep::Optimal(sol) = step else {
+        panic!("capped child stays feasible, got {step:?}");
+    };
+    let LpOutcome::Optimal(fresh) = rs_lp::solve_relaxation(&model) else {
+        panic!("cold child solve must be optimal");
+    };
+    assert!((sol.objective - fresh.objective).abs() < 1e-9);
+    let after = dt.work();
+    assert!(after.2 > 0, "the dual repair must charge DSE pivots");
+    assert_eq!(
+        after.2 - before.2,
+        after.0 - before.0,
+        "every repair pivot is DSE-priced"
+    );
 }
 
 /// Applies one tightening step to both the live tableau and the model,
