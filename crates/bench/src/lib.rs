@@ -1,4 +1,4 @@
-//! # rs-bench — experiment regenerators and benchmark support
+//! # rs-bench — experiment regenerators and the corpus driver
 //!
 //! One module per paper artifact (see DESIGN.md's experiment index):
 //!

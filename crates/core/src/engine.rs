@@ -301,7 +301,7 @@ impl RsEngine {
     }
 
     /// Analyses a batch of DAGs with one shared scratch — the throughput
-    /// path of the corpus driver and the `rs_throughput` benchmark.
+    /// path of the corpus driver.
     pub fn analyze_batch<'a, I>(&mut self, batch: I) -> Vec<RsAnalysis>
     where
         I: IntoIterator<Item = (&'a Ddg, RegType)>,

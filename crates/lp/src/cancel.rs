@@ -99,25 +99,34 @@ impl Cancel {
     }
 
     /// Whether the token has been *observed* tripped: set explicitly, or
-    /// latched by an earlier [`Cancel::cancelled`] poll that saw the
-    /// deadline pass. One relaxed atomic load — safe in per-iteration hot
-    /// loops.
+    /// latched by an earlier poll that saw the deadline pass. One relaxed
+    /// atomic load — safe in per-iteration hot loops.
     pub fn is_set(&self) -> bool {
         self.inner.flag.load(Ordering::Relaxed)
+    }
+
+    /// Flag or deadline, without counting a poll: the in-loop sample of
+    /// the simplex pivot loops. A passed deadline latches the flag, as in
+    /// [`Cancel::cancelled`]; the [`Cancel::after_polls`] countdown is left
+    /// to the round-boundary polls, so its trip points do not depend on how
+    /// many pivots a round takes.
+    pub(crate) fn expired(&self) -> bool {
+        if self.is_set() {
+            return true;
+        }
+        if self.inner.deadline.is_some_and(|dl| Instant::now() >= dl) {
+            self.cancel();
+            return true;
+        }
+        false
     }
 
     /// Full poll: flag, deadline, and the test-mode poll countdown. Once
     /// any source trips, the flag latches so later [`Cancel::is_set`]
     /// checks observe it without re-reading the clock.
     pub fn cancelled(&self) -> bool {
-        if self.is_set() {
+        if self.expired() {
             return true;
-        }
-        if let Some(dl) = self.inner.deadline {
-            if Instant::now() >= dl {
-                self.cancel();
-                return true;
-            }
         }
         let polls = &self.inner.polls_left;
         if polls.load(Ordering::Relaxed) != u64::MAX {
@@ -170,6 +179,19 @@ mod tests {
         assert!(!c.is_set(), "deadline alone does not set the flag");
         assert!(c.cancelled());
         assert!(c.is_set(), "a cancelled() observation latches");
+    }
+
+    #[test]
+    fn expired_sees_the_deadline_but_leaves_the_countdown() {
+        let c = Cancel::with_deadline(Instant::now() - Duration::from_millis(1));
+        assert!(c.expired());
+        assert!(c.is_set(), "an expired() observation latches");
+
+        let c = Cancel::after_polls(1);
+        for _ in 0..10 {
+            assert!(!c.expired(), "expired() never counts a poll");
+        }
+        assert!(c.cancelled(), "the first full poll still trips");
     }
 
     #[test]

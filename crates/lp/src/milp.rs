@@ -184,9 +184,10 @@ pub struct MilpConfig {
     /// stay interchangeable.
     pub audit: bool,
     /// Cooperative cancellation token. Its flag is sampled before every
-    /// node and inside the simplex pivot loops; its deadline (if any)
-    /// merges with `time_limit`. A tripped token stops the search exactly
-    /// like an exhausted budget: the best incumbent is returned with
+    /// node, and its flag and deadline inside the simplex pivot loops; the
+    /// deadline (if any) also merges with `time_limit` at round
+    /// boundaries. A tripped token stops the search exactly like an
+    /// exhausted budget: the best incumbent is returned with
     /// [`MilpStats::proven_optimal`] `false`, a valid
     /// [`MilpStats::dual_bound`], and a [`SearchCheckpoint`] (via
     /// [`solve_resumable`]) — or [`MilpError::BudgetExhausted`] when no
@@ -1374,6 +1375,12 @@ fn solve_presolved(
     let mut interrupted = false;
     let mut unbounded = false;
     'search: loop {
+        // An exhausted frontier is a finished search, whatever budget is
+        // left: tested first, so a last round that empties the frontier as
+        // the budget runs out still reports the proof.
+        if st.frontier.is_empty() {
+            break;
+        }
         // Round-boundary checks: one full cancellation poll (flag,
         // deadline, poll countdown) plus the merged wall-clock deadline
         // and the node budget. Interruptions happen *only* here and
@@ -1386,9 +1393,6 @@ fn solve_presolved(
         }
         if st.nodes >= cfg.node_limit {
             interrupted = true;
-            break;
-        }
-        if st.frontier.is_empty() {
             break;
         }
         let take = BATCH.min(st.frontier.len());
@@ -2731,6 +2735,25 @@ mod tests {
     }
 
     #[test]
+    fn budget_met_by_the_last_round_keeps_the_proof() {
+        // A node budget equal to the tree size runs out in the same round
+        // that empties the frontier: the search finished, so the proof
+        // stands and there is nothing left to checkpoint.
+        for m in [knapsack_model(), wide_model()] {
+            let nodes = solve(&m, &MilpConfig::default()).unwrap().stats.nodes;
+            let cfg = MilpConfig {
+                node_limit: nodes,
+                ..MilpConfig::default()
+            };
+            let run = solve_resumable(&m, &cfg, None);
+            let s = run.result.unwrap();
+            assert!(s.stats.proven_optimal, "node_limit {nodes}");
+            assert_eq!(s.stats.nodes, nodes);
+            assert!(run.checkpoint.is_none(), "node_limit {nodes}");
+        }
+    }
+
+    #[test]
     fn cancel_mid_search_keeps_soundness() {
         // Deterministic mid-search interruption via the poll countdown:
         // whenever it trips, the result must be a feasible point whose
@@ -2758,7 +2781,8 @@ mod tests {
 
     #[test]
     fn warm_starts_are_exercised() {
-        // Any branching model solves child LPs from the parent basis.
+        // Tree nodes solve cold; the diving heuristic re-solves its chain
+        // steps warm on a live tableau, and any branching model dives.
         let mut m = Model::new(Sense::Maximize);
         let vars: Vec<_> = (0..8)
             .map(|i| m.add_var(format!("x{i}"), VarKind::Integer, 0.0, 9.0))
@@ -3184,32 +3208,11 @@ mod tests {
     fn mismatched_checkpoint_is_ignored() {
         // A checkpoint from one model fed into another's solve must be
         // silently dropped: cold start, correct optimum, resumed=false.
-        let k = knapsack_model();
-        let ck = solve_resumable(
-            &k,
-            &MilpConfig {
-                node_limit: 1,
-                ..MilpConfig::default()
-            },
-            None,
-        )
-        .checkpoint
-        .expect("node_limit 1 must interrupt the knapsack");
+        // The checkpoint comes from the wide model, whose tree is many
+        // rounds deep; the knapsack's root cuts finish it in one node, so
+        // a one-node budget leaves it nothing to checkpoint.
         let m = wide_model();
-        let run = solve_resumable(&m, &MilpConfig::default(), Some(&ck));
-        let s = run.result.unwrap();
-        assert!(!s.stats.resumed, "foreign checkpoint must not resume");
-        assert!(s.stats.proven_optimal);
-        let cold = solve(&m, &MilpConfig::default()).unwrap();
-        assert_eq!(s.objective, cold.objective);
-        assert_eq!(s.stats.trace_digest, cold.stats.trace_digest);
-
-        // Same story for a config whose *semantics* differ (int_tol).
-        let cfg = MilpConfig {
-            int_tol: 1e-5,
-            ..MilpConfig::default()
-        };
-        let ck2 = solve_resumable(
+        let ck = solve_resumable(
             &m,
             &MilpConfig {
                 node_limit: 1,
@@ -3218,9 +3221,23 @@ mod tests {
             None,
         )
         .checkpoint
-        .unwrap();
-        assert!(!ck2.matches(&m, &cfg));
-        let s2 = solve_resumable(&m, &cfg, Some(&ck2)).result.unwrap();
+        .expect("node_limit 1 must interrupt the wide model");
+        let k = knapsack_model();
+        let run = solve_resumable(&k, &MilpConfig::default(), Some(&ck));
+        let s = run.result.unwrap();
+        assert!(!s.stats.resumed, "foreign checkpoint must not resume");
+        assert!(s.stats.proven_optimal);
+        let cold = solve(&k, &MilpConfig::default()).unwrap();
+        assert_eq!(s.objective, cold.objective);
+        assert_eq!(s.stats.trace_digest, cold.stats.trace_digest);
+
+        // Same story for a config whose *semantics* differ (int_tol).
+        let cfg = MilpConfig {
+            int_tol: 1e-5,
+            ..MilpConfig::default()
+        };
+        assert!(!ck.matches(&m, &cfg));
+        let s2 = solve_resumable(&m, &cfg, Some(&ck)).result.unwrap();
         assert!(!s2.stats.resumed);
     }
 

@@ -10,9 +10,10 @@
 //! the same outcome class and the same objective on both paths.
 //!
 //! Nothing here is exercised by the production solvers: this is the test
-//! oracle. The entry points exist for differential tests and the
-//! `milp_scaling` bench's before/after comparison; every node LP is a cold
-//! solve with no live tableau (so no in-place dives or probes at nodes).
+//! oracle. The entry points exist for differential tests, among them the
+//! bench-grid test's row-count comparison (`tests/parallel_milp.rs`);
+//! every node LP is a cold solve with no live tableau (so no in-place
+//! dives or probes at nodes).
 
 use crate::milp::{MilpConfig, MilpError, MilpSolution};
 use crate::model::Model;

@@ -173,9 +173,10 @@ struct Tableau {
     scratch_row: Vec<f64>,
     /// Reused nonzero-column mask of the pivot row.
     scratch_nz: Vec<u32>,
-    /// Cooperative cancellation, sampled every [`CANCEL_CHECK_MASK`]+1
-    /// pivot-loop iterations. A tripped token aborts the optimization as
-    /// [`PivotStall`] (callers surface it as
+    /// Cooperative cancellation, sampled on the first pivot-loop iteration
+    /// and every [`CANCEL_CHECK_MASK`]+1 after it; a sample sees both the
+    /// token's flag and its deadline. A tripped token aborts the
+    /// optimization as [`PivotStall`] (callers surface it as
     /// [`LpOutcome::PivotTooSmall`]; the MILP driver disambiguates by
     /// re-checking the token). `None` — the default — costs one branch per
     /// check window.
@@ -208,11 +209,13 @@ impl Tableau {
         }
     }
 
-    /// Has the attached cancel token (if any) tripped? Amortized: only
-    /// sampled when `iters` crosses a check-window boundary.
+    /// Has the attached cancel token (if any) tripped or passed its
+    /// deadline? Amortized: only sampled on the first iteration (1-based)
+    /// of each check window, so an expired token stops a solve before its
+    /// first pivot.
     #[inline]
     fn cancelled_at(&self, iters: usize) -> bool {
-        iters & CANCEL_CHECK_MASK == 0 && self.cancel.as_ref().is_some_and(|c| c.is_set())
+        iters & CANCEL_CHECK_MASK == 1 && self.cancel.as_ref().is_some_and(|c| c.expired())
     }
 
     #[inline]

@@ -14,7 +14,7 @@ use rs_kernels::random::{random_ddg, RandomDagConfig};
 use serde::Deserialize;
 
 /// A seeded random kernel with a non-trivial float saturation model (the
-/// same instance family the scaling bench pins).
+/// same instance family the bench-grid test in `parallel_milp.rs` pins).
 fn kernel() -> rs_core::model::Ddg {
     let cfg = RandomDagConfig::sized(12, 0xBEEF + 12 + 7919);
     let ddg = random_ddg(&cfg, Target::superscalar());
@@ -32,8 +32,10 @@ fn interrupted_resume_chain_matches_uninterrupted_on_rs_models() {
 
     // Re-run the same search in slices: interrupt every few nodes, carry
     // the checkpoint to the next attempt. Node budgets are cumulative
-    // across a resume chain, so each slice raises the limit.
-    for step in [1usize, 5, 16] {
+    // across a resume chain, so each slice raises the limit. Every step is
+    // well short of the 17-node tree: a slice whose last round empties the
+    // frontier is a finished search, not an interruption.
+    for step in [1usize, 5, 8] {
         let mut solver = RsIlp::new();
         solver.milp.node_limit = 0;
         let mut resume: Option<SearchCheckpoint> = None;

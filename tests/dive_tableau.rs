@@ -12,7 +12,8 @@
 //! differential check on the dual pricing rule.
 
 use proptest::prelude::*;
-use rs_lp::{Cmp, DiveStep, DiveTableau, LinExpr, LpOutcome, Model, Sense, VarId, VarKind};
+use rs_lp::{Cancel, Cmp, DiveStep, DiveTableau, LinExpr, LpOutcome, Model, Sense, VarId, VarKind};
+use std::time::{Duration, Instant};
 
 /// Random bounded LP over `nvars` variables with small integer data.
 fn build_lp(
@@ -180,6 +181,33 @@ fn forced_dual_repair_charges_dse_pivots() {
         after.0 - before.0,
         "every repair pivot is DSE-priced"
     );
+}
+
+#[test]
+fn expired_deadline_stops_the_cold_solve_before_its_first_pivot() {
+    // The pivot loops sample the token's deadline, not just its flag: a
+    // token whose deadline has passed — but which no round-boundary poll
+    // has observed yet — stops the solve before it pivots.
+    let mut model = Model::new(Sense::Maximize);
+    let x = model.add_var("x", VarKind::Continuous, 0.0, 6.0);
+    let y = model.add_var("y", VarKind::Continuous, 0.0, 6.0);
+    model.add_constraint(LinExpr::from(x) + y, Cmp::Le, 8.0);
+    model.set_objective(LinExpr::from(x) * 3.0 + (2.0, y));
+    let (out, _, free) = DiveTableau::new(&model, None);
+    assert!(matches!(out, LpOutcome::Optimal(_)), "got {out:?}");
+    assert!(free.pivots > 0, "the model needs pivots");
+
+    let cancel = Cancel::with_deadline(Instant::now() - Duration::from_millis(1));
+    assert!(!cancel.is_set(), "no poll has observed the deadline yet");
+    let (out, dt, stats) = DiveTableau::new(&model, Some(&cancel));
+    assert!(matches!(out, LpOutcome::PivotTooSmall), "got {out:?}");
+    assert!(dt.is_none());
+    assert_eq!(
+        (stats.pivots, stats.bound_flips),
+        (0, 0),
+        "stopped before the first pivot"
+    );
+    assert!(cancel.is_set(), "the sample latches the flag");
 }
 
 /// Applies one tightening step to both the live tableau and the model,

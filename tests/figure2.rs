@@ -82,3 +82,19 @@ fn exact_ilp_agrees_on_figure2() {
     // the witness schedule really needs 4 registers
     assert_eq!(rs_core::lifetime::register_need(&ddg, T, &ilp.schedule), 4);
 }
+
+#[test]
+fn part_c_reduced_dag_allocates_without_spills() {
+    // The whole Figure-1 flow on the worked example: reduce to 3 float
+    // registers, schedule on a 4-issue machine, allocate — no spills.
+    let (mut ddg, _) = figure2(Target::superscalar());
+    let report = rs_core::pipeline::Pipeline {
+        budgets: vec![(T, 3)],
+        verify_exact: false,
+    }
+    .run(&mut ddg);
+    assert!(report.all_fit());
+    let sched = rs_sched::ListScheduler::new(rs_sched::Resources::four_issue()).schedule(&ddg);
+    let alloc = rs_sched::RegisterAllocator::new().allocate(&ddg, T, &sched.sigma, 3);
+    assert!(alloc.success(), "spilled {:?}", alloc.spilled);
+}

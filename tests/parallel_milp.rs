@@ -113,16 +113,32 @@ type GridTree = (f64, usize, u64, usize, usize, usize, usize);
 
 #[test]
 fn bench_grid_trees_are_thread_invariant_with_cuts_and_dse() {
-    // The exact instances the scaling bench pins, solved by the one engine
-    // configuration (cutting planes, dual-steepest-edge repairs, and bound
-    // propagation always on) at every thread count. Each size must land on
-    // its pinned tree — not merely agree across thread counts — so a
-    // change to any tree-shaping layer shows up here as a tuple diff.
+    // The curated grid instances: random kernels whose trees are large
+    // enough to exercise the parallel node pool yet provably finish,
+    // solved by the one engine configuration (cutting planes,
+    // dual-steepest-edge repairs, and bound propagation always on) at
+    // every thread count. Each size must land on its pinned tree — not
+    // merely agree across thread counts — so a change to any tree-shaping
+    // layer shows up here as a tuple diff. An audited solve must land on
+    // the same tree (the audit is check-only), and the explicit-bound-row
+    // reference engine must reach the same optimum on a strictly taller
+    // tableau (its bound rows are what the bounded simplex saves).
     let pinned: [(usize, u64, GridTree); 3] = [
         (12, 1, (6.0, 17, 0x5ac2_8445_6af7_c949, 1743, 238, 0, 0)),
         (14, 0, (8.0, 69, 0x6aef_6eac_aa77_76bf, 7081, 1611, 9, 3)),
         (18, 4, (10.0, 51, 0x0c63_99ab_8ab0_979e, 7156, 1358, 0, 0)),
     ];
+    let tree = |sol: &rs_lp::milp::MilpSolution| -> GridTree {
+        (
+            sol.objective,
+            sol.stats.nodes,
+            sol.stats.trace_digest,
+            sol.stats.pivots,
+            sol.stats.dse_pivots,
+            sol.stats.cuts_added,
+            sol.stats.propagation_fathoms,
+        )
+    };
     for (size, seed, want) in pinned {
         let cfg = RandomDagConfig::sized(size, 0xBEEF + size as u64 + seed * 7919);
         let ddg = random_ddg(&cfg, Target::superscalar());
@@ -131,18 +147,29 @@ fn bench_grid_trees_are_thread_invariant_with_cuts_and_dse() {
             let sol = rs_lp::solve(&model, &MilpConfig::with_threads(threads))
                 .expect("grid instance solves");
             assert!(sol.stats.proven_optimal, "size {size} threads {threads}");
-            let got: GridTree = (
-                sol.objective,
-                sol.stats.nodes,
-                sol.stats.trace_digest,
-                sol.stats.pivots,
-                sol.stats.dse_pivots,
-                sol.stats.cuts_added,
-                sol.stats.propagation_fathoms,
-            );
             assert_eq!(
-                got, want,
+                tree(&sol),
+                want,
                 "size {size}: threads {threads} left the pinned tree"
+            );
+        }
+        let audited = MilpConfig {
+            audit: true,
+            ..MilpConfig::default()
+        };
+        let sol = rs_lp::solve(&model, &audited).expect("audited grid instance solves");
+        assert!(sol.stats.audited, "size {size}: audit was requested");
+        assert_eq!(tree(&sol), want, "size {size}: the audit moved the tree");
+        if size == 12 {
+            let reference = rs_lp::reference::solve_milp(&model, &MilpConfig::default())
+                .expect("reference solves the grid instance");
+            assert!(reference.stats.proven_optimal, "reference hit the budget");
+            assert_eq!(reference.objective, sol.objective);
+            assert!(
+                reference.stats.rows > sol.stats.rows,
+                "the reference tableau carries explicit bound rows ({} vs bounded {})",
+                reference.stats.rows,
+                sol.stats.rows
             );
         }
     }
